@@ -20,12 +20,9 @@ recorded in ``BENCH_summary.json`` under the nested ``service`` entry that
 here: the coalescing/batched server must beat the naive baseline by >= 3x
 on the hot-key workload of the same benchmark run.
 
-Two further axes run against real ``serve`` subprocesses: the ``workers``
-axis (``service_workers`` entry) measures hot-key throughput at
-``--workers 1`` vs ``--workers 4`` over one ``SO_REUSEPORT`` port and
-asserts >= 1.8x scaling on machines with >= 4 cores, and the streaming
-axis (``service_streaming``) pins the peak RSS of a server streaming
-10^5-CP ``detail: true`` responses to < 2x a no-detail baseline.
+The streaming axis (``service_streaming``) runs against real ``serve``
+subprocesses and pins the peak RSS of a server streaming 10^5-CP
+``detail: true`` responses to < 2x a no-detail baseline.
 """
 
 from __future__ import annotations
@@ -51,8 +48,6 @@ _CONCURRENCY = 40
 _POPULATION_COUNT = 1000
 _WINDOW_SECONDS = 0.002
 
-#: The multi-process axis: hot throughput at 1 worker vs this many.
-_SCALE_WORKERS = 4
 #: CP count of the streaming-RSS comparison; large enough that a buffered
 #: ``detail: true`` body would visibly move the server's peak RSS.
 _STREAM_COUNT = 100_000
@@ -63,20 +58,18 @@ _BANNER = re.compile(r"serving on http://([\d.]+):(\d+)")
 class _ServerProcess:
     """A ``repro-netneutrality serve`` subprocess on an ephemeral port.
 
-    Out-of-process on purpose: the worker-scaling axis needs real separate
-    processes, and the streaming-RSS axis needs a clean per-server peak-RSS
-    reading (``VmHWM`` of an in-process server would be polluted by the
-    benchmark harness itself).
+    Out-of-process on purpose: the streaming-RSS axis needs a clean
+    per-server peak-RSS reading (``VmHWM`` of an in-process server would be
+    polluted by the benchmark harness itself).
     """
 
-    def __init__(self, *args: str) -> None:
+    def __init__(self) -> None:
         root = Path(__file__).resolve().parent.parent
         env = dict(os.environ)
         env["PYTHONPATH"] = str(root / "src") + (
             os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
         self.process = subprocess.Popen(
-            [sys.executable, "-m", "repro.cli", "serve", "--port", "0",
-             *args],
+            [sys.executable, "-m", "repro.cli", "serve", "--port", "0"],
             stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
             env=env, text=True, cwd=str(root))
         assert self.process.stdout is not None
@@ -167,49 +160,10 @@ def test_service_serving_workloads():
     assert all(w["errors"] == 0 for w in workloads.values())
 
 
-def test_service_worker_scaling():
-    """The ``workers`` axis: hot throughput at ``--workers 1`` vs 4.
-
-    Real ``serve`` subprocesses sharing one port via ``SO_REUSEPORT``.
-    The >= 1.8x scaling bar only means anything when the machine has cores
-    for the workers to scale onto, so it is asserted on >= 4-core runners
-    and recorded (honestly) everywhere else.
-    """
-    by_workers: dict[str, dict] = {}
-    started = time.perf_counter()
-    for workers in (1, _SCALE_WORKERS):
-        server = _ServerProcess("--workers", str(workers))
-        try:
-            report = asyncio.run(run_loadgen(
-                server.host, server.port, distribution="hot",
-                requests=_REQUESTS, concurrency=_CONCURRENCY,
-                count=_POPULATION_COUNT))
-        finally:
-            exit_code = server.stop()
-        assert exit_code == 0, f"--workers {workers} exited {exit_code}"
-        assert report["errors"] == 0
-        by_workers[str(workers)] = report
-    elapsed = time.perf_counter() - started
-
-    speedup = (by_workers[str(_SCALE_WORKERS)]["throughput_rps"]
-               / by_workers["1"]["throughput_rps"])
-    cores = os.cpu_count() or 1
-    record_benchmark("service_workers", elapsed, extra={
-        "workloads_by_workers": by_workers,
-        "speedup_hot_throughput": speedup,
-        "scale_workers": _SCALE_WORKERS,
-        "cpu_cores": cores,
-    })
-    if cores >= _SCALE_WORKERS:
-        assert speedup >= 1.8, (
-            f"--workers {_SCALE_WORKERS} only {speedup:.2f}x the hot "
-            f"throughput of --workers 1 on a {cores}-core machine")
-
-
 def test_service_streaming_rss():
     """Streamed ``detail: true`` responses must not balloon the server.
 
-    Two fresh single-worker subprocess servers solve the same 10^5-CP
+    Two fresh subprocess servers solve the same 10^5-CP
     workload; one answers plain requests, the other streams full
     per-provider detail (~tens of MB of JSON per response).  Chunked
     streaming keeps the peak RSS (``VmHWM``) of the detail server below
@@ -219,7 +173,7 @@ def test_service_streaming_rss():
     reports: dict[str, dict] = {}
     started = time.perf_counter()
     for name, detail in (("plain", False), ("detail_stream", True)):
-        server = _ServerProcess("--workers", "1")
+        server = _ServerProcess()
         try:
             reports[name] = asyncio.run(run_loadgen(
                 server.host, server.port, distribution="hot", requests=4,

@@ -24,10 +24,6 @@ shrink by more than the same factor.  p99 comparisons where both sides are
 below ``--service-min-ms`` are ignored as noise, mirroring
 ``--min-seconds``.  Summaries without a ``service`` entry skip the section
 cleanly — the serving gate never fails a run that did not measure serving.
-
-The multi-process ``service_workers`` entry (hot-workload metrics keyed by
-``--workers`` count) is gated the same way when both summaries carry it;
-summaries from before the axis existed skip the section cleanly.
 """
 
 from __future__ import annotations
@@ -121,32 +117,6 @@ def load_service_workloads(path: Path) -> dict[str, dict] | None:
     if not isinstance(entry, dict):
         return None
     workloads = entry.get("workloads")
-    if not isinstance(workloads, dict):
-        return None
-    return {name: metrics for name, metrics in workloads.items()
-            if isinstance(metrics, dict)}
-
-
-def load_worker_workloads(path: Path) -> dict[str, dict] | None:
-    """The ``service_workers`` entry's per-worker-count metrics, or ``None``.
-
-    Returns ``None`` when the summary predates the multi-process axis
-    (older summaries have no ``service_workers`` benchmark) — the section
-    is then skipped cleanly, exactly like the ``service`` section.
-    """
-    try:
-        payload = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError):
-        return None
-    if not isinstance(payload, dict):
-        return None
-    entries = payload.get("benchmarks", payload)
-    if not isinstance(entries, dict):
-        return None
-    entry = entries.get("service_workers")
-    if not isinstance(entry, dict):
-        return None
-    workloads = entry.get("workloads_by_workers")
     if not isinstance(workloads, dict):
         return None
     return {name: metrics for name, metrics in workloads.items()
@@ -251,22 +221,6 @@ def main(argv: list[str] | None = None) -> int:
                         else "baseline" if service_baseline is None
                         else "current")
         print(f"\nservice workloads: no entry in {missing_side} "
-              "summary; section skipped")
-    workers_baseline = load_worker_workloads(args.baseline)
-    workers_current = load_worker_workloads(args.current)
-    if workers_baseline is not None and workers_current is not None:
-        workers_lines, workers_regressed = compare_service(
-            workers_baseline, workers_current, service_threshold,
-            args.service_min_ms)
-        print("\nservice workers axis (hot workload by --workers):")
-        print("\n".join(workers_lines))
-        regressed = regressed or workers_regressed
-    else:
-        missing_side = ("both" if workers_baseline is None
-                        and workers_current is None
-                        else "baseline" if workers_baseline is None
-                        else "current")
-        print(f"\nservice workers axis: no entry in {missing_side} "
               "summary; section skipped")
     missing = sorted(set(baseline) - set(current))
     if regressed:

@@ -169,19 +169,9 @@ def build_parser() -> argparse.ArgumentParser:
                               help="disable batching and coalescing (one "
                                    "solve per request); the benchmark "
                                    "baseline, not a production mode")
-    serve_parser.add_argument("--solver-threads", type=int, default=1,
-                              help="executor threads running solves "
-                                   "(default: 1)")
     serve_parser.add_argument("--max-requests", type=int, default=None,
                               help="shut down cleanly after serving this "
-                                   "many /solve requests (for smoke tests; "
-                                   "with --workers > 1 the bound applies "
-                                   "per worker)")
-    serve_parser.add_argument("--workers", type=int, default=1,
-                              help="serving processes sharing the port via "
-                                   "SO_REUSEPORT; each worker has its own "
-                                   "event loop, scheduler and caches "
-                                   "(default: 1, single-process)")
+                                   "many /solve requests (for smoke tests)")
     serve_parser.add_argument("--idle-timeout", type=float, default=30.0,
                               help="seconds an idle keep-alive connection "
                                    "may sit between requests before the "
@@ -299,35 +289,16 @@ def _serve(args: argparse.Namespace) -> int:
     if args.window_ms < 0.0:
         print("error: --window-ms must be >= 0", file=sys.stderr)
         return 2
-    if args.solver_threads < 1:
-        print("error: --solver-threads must be >= 1", file=sys.stderr)
-        return 2
-    if args.workers < 1:
-        print("error: --workers must be >= 1", file=sys.stderr)
-        return 2
     if args.idle_timeout < 0.0:
         print("error: --idle-timeout must be >= 0", file=sys.stderr)
         return 2
     idle_timeout = args.idle_timeout if args.idle_timeout > 0.0 else None
-
-    if args.workers > 1:
-        from repro.service.multiproc import WorkerSettings, serve_multiprocess
-        settings = WorkerSettings(
-            host=args.host, port=args.port,
-            window_seconds=args.window_ms / 1000.0,
-            naive=args.naive,
-            max_solver_threads=args.solver_threads,
-            config=_solver_config(args),
-            max_requests=args.max_requests,
-            idle_timeout=idle_timeout)
-        return serve_multiprocess(settings, args.workers)
 
     async def run() -> None:
         server = EquilibriumServer(
             args.host, args.port,
             window_seconds=args.window_ms / 1000.0,
             naive=args.naive,
-            max_solver_threads=args.solver_threads,
             config=_solver_config(args),
             max_requests=args.max_requests,
             idle_timeout=idle_timeout)

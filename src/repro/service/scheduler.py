@@ -9,10 +9,10 @@ shared LRU caches warm for every later request).  Identical in-flight
 requests — same batch key *and* same grid — are coalesced onto a single
 awaitable future, so a thundering herd of equal queries costs one solve.
 
-Solves run on a small thread-pool executor, never on the event loop: the
+Solves run on one dedicated solver thread, never on the event loop: the
 loop keeps reading sockets (and filling the next batch window) while a
 bisection runs.  That is why :class:`repro.cache.LRUCache` is lock-guarded
-— the executor threads and any concurrent batches share the caches.
+— the solver thread and the event loop share the caches.
 
 Scheduling uses only the event loop's monotonic clock
 (``loop.call_later``); wall-clock time never enters the scheduler or any
@@ -71,22 +71,18 @@ class MicroBatchScheduler:
 
     ``naive=True`` disables every serving-layer optimisation — no window,
     no fusion, no coalescing, no warm-cache reuse: each request runs its own
-    ``solve_rate_equilibria`` on the executor.  The benchmark suite uses it
-    as the one-solve-per-request baseline.
+    ``solve_rate_equilibria`` on the solver thread.  The benchmark suite
+    uses it as the one-solve-per-request baseline.
     """
 
     def __init__(self, window_seconds: float = DEFAULT_WINDOW_SECONDS, *,
-                 naive: bool = False, max_solver_threads: int = 1) -> None:
+                 naive: bool = False) -> None:
         if window_seconds < 0.0:
             raise ValueError("window_seconds must be >= 0")
-        if max_solver_threads < 1:
-            raise ValueError("max_solver_threads must be >= 1")
         self.window_seconds = window_seconds
         self.naive = naive
-        self.max_solver_threads = max_solver_threads
         self._executor = ThreadPoolExecutor(
-            max_workers=max_solver_threads,
-            thread_name_prefix="repro-solver")
+            max_workers=1, thread_name_prefix="repro-solver")
         self._pending: Dict[_BatchKey, _PendingBatch] = {}
         self._timers: Dict[_BatchKey, asyncio.TimerHandle] = {}
         self._inflight: Dict[_SolveKey, "asyncio.Future[_Outcome]"] = {}
@@ -154,7 +150,6 @@ class MicroBatchScheduler:
         return {
             "window_seconds": self.window_seconds,
             "naive": self.naive,
-            "solver_threads": self.max_solver_threads,
             "requests": self.requests,
             "requested_points": self.requested_points,
             "coalesced": self.coalesced,
@@ -178,7 +173,7 @@ class MicroBatchScheduler:
             await asyncio.gather(*list(self._tasks), return_exceptions=True)
 
     async def aclose(self) -> None:
-        """Drain outstanding work and release the executor threads."""
+        """Drain outstanding work and release the solver thread."""
         await self.drain()
         self._executor.shutdown(wait=True)
 

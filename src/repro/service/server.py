@@ -4,6 +4,11 @@ Stdlib only — a deliberately small HTTP/1.1 implementation over asyncio
 streams (request line + headers + ``Content-Length`` body, keep-alive),
 enough for the JSON API and the load generator without new runtime deps.
 
+Process model: one ``serve`` process runs one event loop, one
+:class:`MicroBatchScheduler` and one solver thread, so every request for a
+population meets the same batch window and the same warm caches.  To scale
+out, run independent ``serve`` processes behind an external load balancer.
+
 Endpoints:
 
 * ``POST /solve``   — solve an equilibrium request (see
@@ -12,11 +17,7 @@ Endpoints:
   chunked`` (per-grid-point blocks, never a fully-buffered body) to
   HTTP/1.1 clients; HTTP/1.0 clients get a buffered body.
 * ``GET  /stats``   — solver-cache statistics (``all_cache_stats()``) plus
-  the scheduler's coalescing / batch-fusion counters.  In multi-process
-  mode (see :mod:`repro.service.multiproc`) the response carries the
-  aggregate view at the top level plus a ``workers`` list with every
-  worker's own counters; ``GET /stats?scope=local`` always answers with
-  only the serving worker's numbers.
+  the scheduler's coalescing / batch-fusion counters.
 * ``GET  /healthz`` — liveness probe.
 
 Connection hygiene: the ``Connection`` header is compared
@@ -24,7 +25,11 @@ case-insensitively (RFC 9112 — ``Connection: Close`` closes), the request
 line's HTTP version decides the keep-alive *default* (HTTP/1.0 defaults to
 close, HTTP/1.1 to keep-alive), and idle keep-alive connections are closed
 after ``idle_timeout`` seconds so forgotten clients can neither pin a
-handler task forever nor stall a graceful shutdown.  Shutdown
+handler task forever nor stall a graceful shutdown.  Bodies are framed by
+``Content-Length`` only: a request carrying ``Transfer-Encoding`` gets
+``501 not_implemented`` and conflicting ``Content-Length`` values get
+``400 bad_http``, and both close the connection, so body bytes can never
+be read as a second request (RFC 9112 §6.1, §6.3).  Shutdown
 (:meth:`EquilibriumServer.close`, or :meth:`request_shutdown` from a
 signal handler) stops accepting, wakes every idle reader, lets in-flight
 requests finish their response, then drains the scheduler.
@@ -41,9 +46,7 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import json
-import os
-import socket
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Set, Tuple, Union
+from typing import Any, Dict, Iterator, Optional, Set, Tuple, Union
 
 from repro.backends.config import SolverConfig
 from repro.cache import all_cache_stats
@@ -71,13 +74,10 @@ DEFAULT_IDLE_TIMEOUT = 30.0
 #: their connection tasks are cancelled outright.
 _DRAIN_GRACE_SECONDS = 10.0
 
-#: Timeout for one peer's ``/stats?scope=local`` fetch in the merged view.
-_PEER_STATS_TIMEOUT = 2.0
-
 _STATUS_PHRASES = {
     200: "OK", 400: "Bad Request", 404: "Not Found",
     405: "Method Not Allowed", 413: "Payload Too Large",
-    500: "Internal Server Error",
+    500: "Internal Server Error", 501: "Not Implemented",
 }
 
 #: A handler's response body: a JSON object, or an iterator of pre-encoded
@@ -90,6 +90,12 @@ _ParsedRequest = Tuple[str, str, str, Dict[str, str], bytes]
 class _HttpViolation(Exception):
     """A protocol-level violation; the connection is closed after replying."""
 
+    def __init__(self, message: str, *, status: int = 400,
+                 code: str = "bad_http") -> None:
+        super().__init__(message)
+        self.status = status
+        self.code = code
+
 
 class EquilibriumServer:
     """The serving loop around a :class:`MicroBatchScheduler`.
@@ -98,20 +104,15 @@ class EquilibriumServer:
     carry no ``config`` field (the CLI's ``--backend`` flag lands here);
     ``naive=True`` turns off batching/coalescing for baseline measurements.
     ``idle_timeout`` bounds how long a keep-alive connection may sit
-    between requests (``None`` disables the bound).  ``worker_index`` tags
-    this server as one worker of a multi-process group (see
-    :mod:`repro.service.multiproc`); :meth:`set_peers` wires the group's
-    direct addresses in for the merged ``/stats`` view.
+    between requests (``None`` disables the bound).
     """
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0, *,
                  window_seconds: float = DEFAULT_WINDOW_SECONDS,
                  naive: bool = False,
-                 max_solver_threads: int = 1,
                  config: Optional[SolverConfig] = None,
                  max_requests: Optional[int] = None,
-                 idle_timeout: Optional[float] = DEFAULT_IDLE_TIMEOUT,
-                 worker_index: Optional[int] = None) -> None:
+                 idle_timeout: Optional[float] = DEFAULT_IDLE_TIMEOUT) -> None:
         if idle_timeout is not None and idle_timeout <= 0.0:
             raise ValueError(
                 f"idle_timeout must be > 0 or None, got {idle_timeout!r}")
@@ -120,13 +121,8 @@ class EquilibriumServer:
         self._config = config
         self._max_requests = max_requests
         self._idle_timeout = idle_timeout
-        self.worker_index = worker_index
-        self.scheduler = MicroBatchScheduler(
-            window_seconds, naive=naive,
-            max_solver_threads=max_solver_threads)
+        self.scheduler = MicroBatchScheduler(window_seconds, naive=naive)
         self._server: Optional[asyncio.base_events.Server] = None
-        self._direct_server: Optional[asyncio.base_events.Server] = None
-        self._peers: List[Tuple[int, str, int]] = []
         self._closing = asyncio.Event()
         self._connections: Set["asyncio.Task[None]"] = set()
         self._shutdown_begun = False
@@ -139,40 +135,12 @@ class EquilibriumServer:
     # ------------------------------------------------------------------ #
     # Lifecycle
     # ------------------------------------------------------------------ #
-    async def start(self, sock: Optional[socket.socket] = None) -> None:
-        """Bind and start accepting connections (port 0 = ephemeral).
-
-        ``sock`` serves on an already-bound listening socket instead of
-        ``host``/``port`` — the multi-process mode's ``SO_REUSEPORT``
-        (or inherited-socket) acceptors enter here.
-        """
+    async def start(self) -> None:
+        """Bind and start accepting connections (port 0 = ephemeral)."""
         if self._server is not None:
             raise RuntimeError("server already started")
-        if sock is not None:
-            self._server = await asyncio.start_server(
-                self._handle_connection, sock=sock)
-        else:
-            self._server = await asyncio.start_server(
-                self._handle_connection, self._host, self._port)
-
-    async def start_direct(self) -> Tuple[str, int]:
-        """Open this worker's private (direct) listener on an ephemeral port.
-
-        The direct address reaches *this* worker specifically — connections
-        to the shared ``SO_REUSEPORT`` port land on an arbitrary worker —
-        and is what the merged ``/stats`` fan-out dials.  Serves the same
-        handler as the shared listener.
-        """
-        if self._direct_server is not None:
-            raise RuntimeError("direct listener already started")
-        self._direct_server = await asyncio.start_server(
-            self._handle_connection, "127.0.0.1", 0)
-        address = self._direct_server.sockets[0].getsockname()
-        return str(address[0]), int(address[1])
-
-    def set_peers(self, peers: Sequence[Tuple[int, str, int]]) -> None:
-        """Install the worker group's ``(index, host, port)`` directory."""
-        self._peers = sorted(peers)
+        self._server = await asyncio.start_server(
+            self._handle_connection, self._host, self._port)
 
     @property
     def address(self) -> Tuple[str, int]:
@@ -210,12 +178,10 @@ class EquilibriumServer:
             return
         self._shutdown_begun = True
         try:
-            for server_attr in ("_server", "_direct_server"):
-                server = getattr(self, server_attr)
-                setattr(self, server_attr, None)
-                if server is not None:
-                    server.close()
-                    await server.wait_closed()
+            server, self._server = self._server, None
+            if server is not None:
+                server.close()
+                await server.wait_closed()
             # Idle readers wake on the closing event; in-flight requests
             # get a grace period to finish their response.
             current = asyncio.current_task()
@@ -259,8 +225,8 @@ class EquilibriumServer:
                 parsed = await self._read_request(reader)
             except _HttpViolation as violation:
                 await _write_response(
-                    writer, 400,
-                    error_payload("bad_http", str(violation)),
+                    writer, violation.status,
+                    error_payload(violation.code, str(violation)),
                     keep_alive=False)
                 break
             except asyncio.TimeoutError:
@@ -303,9 +269,18 @@ class EquilibriumServer:
             if not line:
                 raise _HttpViolation("connection closed inside headers")
             name, _, value = line.decode("latin-1").partition(":")
-            headers[name.strip().lower()] = value.strip()
+            name, value = name.strip().lower(), value.strip()
+            if name == "content-length" and headers.get(name, value) != value:
+                raise _HttpViolation("conflicting Content-Length headers")
+            headers[name] = value
         else:
             raise _HttpViolation("too many header lines")
+        if "transfer-encoding" in headers:
+            # Never guess at the framing: reading a chunked body as empty
+            # would leave its bytes on the socket as the "next request".
+            raise _HttpViolation(
+                "Transfer-Encoding is not supported; frame the body with "
+                "Content-Length", status=501, code="not_implemented")
         raw_length = headers.get("content-length", "0")
         try:
             length = int(raw_length)
@@ -368,7 +343,7 @@ class EquilibriumServer:
     async def _dispatch(self, method: str, target: str, body: bytes, *,
                         allow_stream: bool = True
                         ) -> Tuple[int, _Payload]:
-        path, _, query = target.partition("?")
+        path = target.partition("?")[0]
         if path == "/solve":
             if method != "POST":
                 return 405, error_payload("method_not_allowed",
@@ -378,8 +353,6 @@ class EquilibriumServer:
             if method != "GET":
                 return 405, error_payload("method_not_allowed",
                                           "/stats accepts GET only")
-            if self._peers and "scope=local" not in query.split("&"):
-                return 200, await self._merged_stats()
             return 200, self.stats()
         if path == "/healthz":
             if method != "GET":
@@ -432,7 +405,7 @@ class EquilibriumServer:
 
     def stats(self) -> Dict[str, Any]:
         """The ``/stats`` payload: cache + scheduler + server counters."""
-        payload: Dict[str, Any] = {
+        return {
             "schema": 1,
             "caches": all_cache_stats(),
             "scheduler": self.scheduler.stats(),
@@ -443,42 +416,6 @@ class EquilibriumServer:
                 "idle_timeouts": self.idle_timeouts,
             },
         }
-        if self.worker_index is not None:
-            payload["worker"] = {"index": self.worker_index,
-                                 "pid": os.getpid()}
-        return payload
-
-    async def _merged_stats(self) -> Dict[str, Any]:
-        """The multi-worker ``/stats`` view: per-worker + aggregate.
-
-        Fans ``GET /stats?scope=local`` out to every peer's direct address
-        and merges: the top level keeps the single-process shape (summed
-        ``server``/``scheduler``/``caches`` counters, so existing
-        consumers — the load generator's before/after deltas included —
-        read aggregate numbers unchanged) and a ``workers`` list carries
-        each worker's own payload.  An unreachable worker is reported in
-        its slot, never fatal to the view.
-        """
-        from repro.service.multiproc import merge_worker_stats
-
-        async def fetch(index: int, host: str, port: int) -> Dict[str, Any]:
-            if index == self.worker_index:
-                return self.stats()
-            from repro.service.client import ServiceClient
-            try:
-                async with ServiceClient(host, port) as client:
-                    status, payload = await asyncio.wait_for(
-                        client.request("GET", "/stats?scope=local"),
-                        timeout=_PEER_STATS_TIMEOUT)
-            except (ConnectionError, OSError, asyncio.TimeoutError):
-                return {"worker": {"index": index}, "unreachable": True}
-            if status != 200:  # pragma: no cover - peers always serve stats
-                return {"worker": {"index": index}, "unreachable": True}
-            return payload
-
-        payloads = await asyncio.gather(
-            *[fetch(index, host, port) for index, host, port in self._peers])
-        return merge_worker_stats(list(payloads))
 
 
 def _wants_keep_alive(version: str, headers: Dict[str, str]) -> bool:

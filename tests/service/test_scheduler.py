@@ -194,8 +194,6 @@ class TestFailureAndLifecycle:
     def test_invalid_construction_rejected(self):
         with pytest.raises(ValueError):
             MicroBatchScheduler(-0.001)
-        with pytest.raises(ValueError):
-            MicroBatchScheduler(max_solver_threads=0)
 
 
 @settings(max_examples=15, deadline=None)

@@ -196,8 +196,33 @@ async def raw_request(reader, writer, *, version="HTTP/1.1", headers=()):
     return head, body, eof
 
 
+async def read_response(reader):
+    """One buffered response off the socket: ``(status, head, payload)``."""
+    head = await asyncio.wait_for(reader.readuntil(b"\r\n\r\n"), 5.0)
+    length = 0
+    for line in head.split(b"\r\n"):
+        if line.lower().startswith(b"content-length:"):
+            length = int(line.split(b":", 1)[1])
+    body = await asyncio.wait_for(reader.readexactly(length), 5.0)
+    return int(head.split(b" ", 2)[1]), head, json.loads(body)
+
+
+async def framing_probe(host, port, headers, body):
+    """POST ``body`` under ``headers``; the first response and whether the
+    server then closed the connection (instead of reading on)."""
+    reader, writer = await asyncio.open_connection(host, port)
+    lines = ["POST /solve HTTP/1.1", "Host: t", *headers]
+    writer.write(("\r\n".join(lines) + "\r\n\r\n").encode("latin-1") + body)
+    await writer.drain()
+    status, head, payload = await read_response(reader)
+    closed = (await asyncio.wait_for(reader.read(1), 5.0) == b""
+              if b"close" in head.lower() else False)
+    writer.close()
+    return status, head, payload, closed
+
+
 class TestConnectionHygiene:
-    """The RFC 9112 keep-alive semantics fixed in this change."""
+    """RFC 9112 keep-alive and message-framing semantics."""
 
     def test_connection_close_is_case_insensitive(self):
         # The pre-fix comparison was exact ("close"), so "Close"/"CLOSE"
@@ -256,6 +281,47 @@ class TestConnectionHygiene:
         first, second = run(with_server(body))
         assert b"Connection: keep-alive" in first
         assert b"Connection: keep-alive" in second
+
+    def test_transfer_encoding_is_refused_and_closes(self):
+        # Request smuggling: a server that ignores Transfer-Encoding reads
+        # the chunked body as empty and then parses the body bytes as the
+        # next request on the kept-alive connection.
+        smuggled = b"GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n"
+
+        async def body(host, port, server):
+            probe = await framing_probe(
+                host, port, ["Transfer-Encoding: chunked"], smuggled)
+            return probe, server.stats()["server"]["requests_total"]
+
+        (status, head, payload, closed), dispatched = run(with_server(body))
+        assert status == 501
+        assert payload["error"]["code"] == "not_implemented"
+        assert b"Connection: close" in head
+        assert closed  # the chunk bytes were never read as a request
+        assert dispatched == 0
+
+    def test_conflicting_content_lengths_are_refused_and_close(self):
+        request = json.dumps(BASE_REQUEST).encode("utf-8")
+
+        async def body(host, port, server):
+            conflicting = await framing_probe(
+                host, port,
+                ["Content-Length: 5", f"Content-Length: {len(request)}"],
+                request)
+            # Repeating one value is not a conflict (RFC 9112 §6.3).
+            repeated = await framing_probe(
+                host, port,
+                [f"Content-Length: {len(request)}"] * 2 + ["Connection: close"],
+                request)
+            return conflicting, repeated
+
+        conflicting, repeated = run(with_server(body))
+        status, head, payload, closed = conflicting
+        assert status == 400
+        assert payload["error"]["code"] == "bad_http"
+        assert b"Connection: close" in head
+        assert closed
+        assert repeated[0] == 200
 
     def test_idle_keep_alive_connection_times_out(self):
         # Pre-fix, an idle keep-alive client pinned its handler task

@@ -46,20 +46,18 @@ class TestParser:
         assert args.port == 8787
         assert args.window_ms == 2.0
         assert args.naive is False
-        assert args.solver_threads == 1
         assert args.max_requests is None
         assert args.backend is None
 
     def test_serve_subcommand_flags(self):
         parser = build_parser()
         args = parser.parse_args(["serve", "--port", "0", "--window-ms",
-                                  "5", "--naive", "--solver-threads", "2",
+                                  "5", "--naive",
                                   "--max-requests", "100", "--backend",
                                   "reference"])
         assert args.port == 0
         assert args.window_ms == 5.0
         assert args.naive is True
-        assert args.solver_threads == 2
         assert args.max_requests == 100
         assert args.backend == "reference"
 
@@ -211,20 +209,23 @@ class TestServe:
         assert main(["serve", "--window-ms", "-1"]) == 2
         assert "--window-ms" in capsys.readouterr().err
 
-    def test_invalid_solver_threads_rejected(self, capsys):
-        assert main(["serve", "--solver-threads", "0"]) == 2
-        assert "--solver-threads" in capsys.readouterr().err
+    def test_invalid_idle_timeout_rejected(self, capsys):
+        assert main(["serve", "--idle-timeout", "-1"]) == 2
+        assert "--idle-timeout" in capsys.readouterr().err
 
-    def test_serve_and_loadgen_end_to_end(self):
+    @pytest.mark.parametrize("signame", ["SIGINT", "SIGTERM"])
+    def test_serve_and_loadgen_end_to_end(self, signame):
         """CLI server + load generator over real sockets, clean shutdown.
 
         --expect-coalescing proves cross-request sharing engaged over the
-        wire; a zero server exit code after SIGINT proves the clean
-        interrupt-shutdown path (the bounded --max-requests shutdown is
-        covered at the server level in tests/service/test_server.py).
+        wire.  An idle keep-alive client stays parked on the server when
+        the signal arrives; a zero exit code proves the drain neither waits
+        on it nor fails (the bounded --max-requests shutdown is covered at
+        the server level in tests/service/test_server.py).
         """
         import re
         import signal
+        import socket
         import subprocess
         import sys
         root = pathlib.Path(__file__).resolve().parent.parent
@@ -248,8 +249,13 @@ class TestServe:
             report = json.loads(loadgen.stdout)
             assert report["coalesced"] > 0
             assert report["errors"] == 0
-            server.send_signal(signal.SIGINT)
-            assert server.wait(timeout=30) == 0
+            with socket.create_connection((host, int(port)),
+                                          timeout=30) as idle:
+                idle.sendall(b"GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n")
+                head = idle.recv(4096)
+                assert b"Connection: keep-alive" in head
+                server.send_signal(getattr(signal, signame))
+                assert server.wait(timeout=30) == 0
         finally:
             if server.poll() is None:
                 server.kill()
