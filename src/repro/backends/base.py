@@ -1,18 +1,16 @@
 """The kernel-backend protocol of the solver stack.
 
-A :class:`KernelBackend` supplies the three numerical primitives behind the
-Theorem-1 bisection on the sorted-``theta_hat`` prefix structure of
+A :class:`KernelBackend` supplies the two numerical primitives behind the
+Theorem-1 cap root-finder on the sorted-``theta_hat`` prefix structure of
 :class:`repro.network.equilibrium.ExponentialMaxMinProfile`:
 
 * the **carried-load tail pass** (:meth:`KernelBackend.carried_scalar`) —
   the work-conservation LHS at one throughput cap: prefix lookup for the
   saturated providers plus the exponential-demand tail of Equation (3);
-* the **prefix evaluation** (:meth:`KernelBackend.carried_grid`) — the same
-  quantity at a whole vector of caps, used by each iteration of the
-  vectorised multi-target bisection;
-* optionally a **fused scalar bisection** (``bisect_scalar``) — the entire
-  multi-iteration bisection of one capacity target in a single kernel call,
-  mirroring ``CommonCapProfile.solve_cap``'s bracket and stopping rules.
+* optionally a **fused scalar root-finder** (``solve_scalar``) — the entire
+  multi-iteration solve of one capacity target in a single kernel call,
+  mirroring ``CommonCapProfile.solve_cap``'s bracket, Illinois update
+  order and stopping rules.
 
 Backends receive the profile object itself and read its sorted column
 arrays (``_theta_hats``, ``_alphas``, ``_betas``, ``_neg_betas``,
@@ -31,8 +29,6 @@ from __future__ import annotations
 
 from typing import (TYPE_CHECKING, Callable, Optional, Protocol,
                     runtime_checkable)
-
-import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.network.equilibrium import ExponentialMaxMinProfile
@@ -54,30 +50,26 @@ class KernelBackend(Protocol):
     name: str
 
     @property
-    def bisect_scalar(self) -> Optional[Callable[..., float]]:
-        """Fused scalar bisection, or ``None`` for no fused path.
+    def solve_scalar(self) -> Optional[Callable[..., float]]:
+        """Fused scalar root-finder, or ``None`` for no fused path.
 
         When ``None`` the profile runs the generic ``solve_cap`` loop over
         :meth:`carried_scalar`.  Signature when present::
 
-            bisect_scalar(profile, target, iterations,
-                          residual_tolerance, width_tolerance) -> float
+            solve_scalar(profile, target, iterations,
+                         residual_tolerance, width_tolerance) -> float
 
-        with the same bracket ``[0, profile.upper]``, the same mid-point
-        update order and the same residual/width stopping rules as
-        ``CommonCapProfile.solve_cap`` (guards for empty/uncongested/zero
-        targets are handled by the caller).  Declared as a read-only
-        property so a plain ``bisect_scalar = None`` class attribute and a
-        bound method both satisfy the protocol structurally.
+        with the same bracket ``[0, profile.upper]``, the same endpoint
+        residuals, the same Illinois update order and the same
+        residual/width stopping rules as ``CommonCapProfile.solve_cap``
+        (guards for empty/uncongested/zero targets are handled by the
+        caller).  Declared as a read-only property so a plain
+        ``solve_scalar = None`` class attribute and a bound method both
+        satisfy the protocol structurally.
         """
         ...
 
     def carried_scalar(self, profile: "ExponentialMaxMinProfile",
                        cap: float) -> float:
         """Per-capita carried load at a single throughput cap."""
-        ...
-
-    def carried_grid(self, profile: "ExponentialMaxMinProfile",
-                     caps: np.ndarray) -> np.ndarray:
-        """Per-capita carried load at each cap of a 1-D float vector."""
         ...

@@ -57,7 +57,7 @@ class SolverConfig:
         ``_UTILITY_TOLERANCE``).
     bisection_tolerance:
         Relative work-conservation residual at which the Theorem-1 cap
-        bisection stops (1e-13, the former ``_RESIDUAL_TOLERANCE``).
+        root-finder stops (1e-13, the former ``_RESIDUAL_TOLERANCE``).
     cache_policy:
         ``"shared"`` uses the registered process-wide caches (entries keyed
         by :meth:`cache_key` so backends never alias); ``"bypass"``

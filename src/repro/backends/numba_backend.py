@@ -1,20 +1,21 @@
 """Optional numba (njit) kernel backend.
 
 The kernels below are plain-Python loop implementations of the carried-load
-tail pass, the grid evaluation and the fused scalar bisection; when numba
-is importable they are compiled with ``numba.njit`` on first use (lazy —
-importing this module never imports numba), and when it is not,
-:func:`load_numba_backend` returns ``None`` so the registry falls back to
-the reference backend.
+tail pass and the fused scalar root-finder; when numba is importable they
+are compiled with ``numba.njit`` on first use (lazy — importing this module
+never imports numba), and when it is not, :func:`load_numba_backend`
+returns ``None`` so the registry falls back to the reference backend.
 
 Numerics: the loops accumulate the tail sum serially (left to right over
 the sorted columns) instead of numpy's pairwise tree, so results differ
 from the reference backend only in summation order — well inside the
 ``1e-10`` equivalence bound the backend contract requires (and the
-property-test suite asserts).  The bisection kernel mirrors
-``CommonCapProfile.solve_cap`` exactly: bracket ``[0, upper]``, mid-point
-first, residual exit, then bracket update, then width exit, returning
-``high`` on iteration exhaustion.
+property-test suite asserts).  The root-finder kernel mirrors
+``CommonCapProfile.solve_cap`` exactly: bracket ``[0, upper]`` with the
+endpoint residuals ``-target`` and ``prefix[-1] - target``, the Illinois
+secant step (midpoint when the secant point is not strictly inside),
+residual exit, then bracket update with the halving rule, then width exit,
+returning ``high`` on iteration exhaustion.
 
 The undecorated Python functions remain directly callable; the equivalence
 tests run them interpreted, so the kernel arithmetic is validated even on
@@ -63,60 +64,48 @@ def _kernel_carried_scalar(theta_hats: np.ndarray, alphas: np.ndarray,
     return total
 
 
-def _kernel_carried_grid(theta_hats: np.ndarray, alphas: np.ndarray,
-                         betas: np.ndarray, prefix: np.ndarray,
-                         caps: np.ndarray) -> np.ndarray:
-    n = theta_hats.shape[0]
-    out = np.empty(caps.shape[0])
-    for g in range(caps.shape[0]):
-        cap = caps[g]
-        if cap <= 0.0:
-            out[g] = 0.0
-            continue
-        low = 0
-        high = n
-        while low < high:
-            mid = (low + high) // 2
-            if theta_hats[mid] <= cap:
-                low = mid + 1
-            else:
-                high = mid
-        total = prefix[low]
-        for i in range(low, n):
-            total += (alphas[i]
-                      * math.exp(-betas[i] * (theta_hats[i] / cap - 1.0)) * cap)
-        out[g] = total
-    return out
-
-
-def _kernel_bisect_scalar(theta_hats: np.ndarray, alphas: np.ndarray,
-                          betas: np.ndarray, prefix: np.ndarray, upper: float,
-                          target: float, iterations: int,
-                          residual_tolerance: float,
-                          width_tolerance: float) -> float:
+def _kernel_solve_scalar(theta_hats: np.ndarray, alphas: np.ndarray,
+                         betas: np.ndarray, prefix: np.ndarray, upper: float,
+                         target: float, iterations: int,
+                         residual_tolerance: float,
+                         width_tolerance: float) -> float:
     n = theta_hats.shape[0]
     low = 0.0
     high = upper
+    f_low = -target
+    f_high = prefix[n] - target
+    side = 0
     for _ in range(iterations):
-        mid = 0.5 * (low + high)
+        cap = low - f_low * (high - low) / (f_high - f_low)
+        if not low < cap < high:
+            cap = 0.5 * (low + high)
         count_low = 0
         count_high = n
         while count_low < count_high:
             count_mid = (count_low + count_high) // 2
-            if theta_hats[count_mid] <= mid:
+            if theta_hats[count_mid] <= cap:
                 count_low = count_mid + 1
             else:
                 count_high = count_mid
         value = prefix[count_low]
         for i in range(count_low, n):
             value += (alphas[i]
-                      * math.exp(-betas[i] * (theta_hats[i] / mid - 1.0)) * mid)
-        if abs(value - target) <= residual_tolerance:
-            return mid
-        if value < target:
-            low = mid
+                      * math.exp(-betas[i] * (theta_hats[i] / cap - 1.0)) * cap)
+        value -= target
+        if abs(value) <= residual_tolerance:
+            return cap
+        if value < 0.0:
+            low = cap
+            f_low = value
+            if side > 0:
+                f_high *= 0.5
+            side = 1
         else:
-            high = mid
+            high = cap
+            f_high = value
+            if side < 0:
+                f_low *= 0.5
+            side = -1
         if high - low <= width_tolerance:
             return high
     return high
@@ -127,7 +116,7 @@ def _kernel_bisect_scalar(theta_hats: np.ndarray, alphas: np.ndarray,
 # --------------------------------------------------------------------------- #
 _NUMBA_MODULE: Any = None
 _NUMBA_CHECKED = False
-_COMPILED: Optional[Tuple[Any, Any, Any]] = None
+_COMPILED: Optional[Tuple[Any, Any]] = None
 
 
 def _numba_module() -> Any:
@@ -155,8 +144,8 @@ def numba_version() -> Optional[str]:
     return getattr(module, "__version__", None) if module is not None else None
 
 
-def _compiled_kernels() -> Optional[Tuple[Any, Any, Any]]:
-    """The njit-compiled kernel triple (compiled once per process)."""
+def _compiled_kernels() -> Optional[Tuple[Any, Any]]:
+    """The njit-compiled kernel pair (compiled once per process)."""
     global _COMPILED
     if _COMPILED is None:
         module = _numba_module()
@@ -164,8 +153,7 @@ def _compiled_kernels() -> Optional[Tuple[Any, Any, Any]]:
             return None
         njit = module.njit(cache=False, fastmath=False, nogil=True)
         _COMPILED = (njit(_kernel_carried_scalar),
-                     njit(_kernel_carried_grid),
-                     njit(_kernel_bisect_scalar))
+                     njit(_kernel_solve_scalar))
     return _COMPILED
 
 
@@ -174,8 +162,8 @@ class NumbaBackend:
 
     name = "numba"
 
-    def __init__(self, kernels: Tuple[Any, Any, Any]) -> None:
-        self._carried_scalar, self._carried_grid, self._bisect = kernels
+    def __init__(self, kernels: Tuple[Any, Any]) -> None:
+        self._carried_scalar, self._solve = kernels
 
     def carried_scalar(self, profile: ExponentialMaxMinProfile,
                        cap: float) -> float:
@@ -183,17 +171,11 @@ class NumbaBackend:
             profile._theta_hats, profile._alphas, profile._betas,
             profile._prefix, float(cap)))
 
-    def carried_grid(self, profile: ExponentialMaxMinProfile,
-                     caps: np.ndarray) -> np.ndarray:
-        return self._carried_grid(
-            profile._theta_hats, profile._alphas, profile._betas,
-            profile._prefix, np.ascontiguousarray(caps, dtype=np.float64))
-
-    def bisect_scalar(self, profile: ExponentialMaxMinProfile,
-                      target: float, iterations: int,
-                      residual_tolerance: float,
-                      width_tolerance: float) -> float:
-        return float(self._bisect(
+    def solve_scalar(self, profile: ExponentialMaxMinProfile,
+                     target: float, iterations: int,
+                     residual_tolerance: float,
+                     width_tolerance: float) -> float:
+        return float(self._solve(
             profile._theta_hats, profile._alphas, profile._betas,
             profile._prefix, float(profile.upper), float(target),
             iterations, residual_tolerance, width_tolerance))

@@ -1,12 +1,11 @@
 """The reference (pure numpy) kernel backend.
 
-This is the exact implementation that previously lived on
-:class:`repro.network.equilibrium.ExponentialMaxMinProfile` — moved here
-verbatim so other backends can be plugged in beside it.  Default-config
-results are therefore bit-identical to the pre-backend solver: the scalar
-tail pass keeps its ``out=``-kernel sequence and ``np.add.reduce``
-(the same pairwise-summation tree as the vector path), and the grid pass
-keeps its masked two-dimensional tail evaluation.
+The numerical baseline the other backends are compared against.  It has
+one primitive, the carried-load tail pass of
+:class:`repro.network.equilibrium.ExponentialMaxMinProfile` (an
+``out=``-kernel sequence reduced with ``np.add.reduce``, numpy's
+pairwise-summation tree), and no fused root-finder:
+``CommonCapProfile.solve_cap`` drives it directly.
 """
 
 from __future__ import annotations
@@ -26,19 +25,17 @@ class ReferenceBackend:
 
     name = "reference"
 
-    #: No fused bisection: ``CommonCapProfile.solve_cap`` drives
-    #: :meth:`carried_scalar` directly, exactly as before the backend layer.
-    bisect_scalar = None
+    #: No fused root-finder: ``CommonCapProfile.solve_cap`` drives
+    #: :meth:`carried_scalar` directly.
+    solve_scalar = None
 
     def carried_scalar(self, profile: ExponentialMaxMinProfile,
                        cap: float) -> float:
-        """Scalar twin of :meth:`carried_grid`, bit-identical per evaluation.
+        """Carried load at one cap: prefix lookup plus the congested tail.
 
-        The one-element vector path reduces a ``(1, tail)`` row with the
-        same pairwise tree as this contiguous 1-D sum, its all-true mask
-        ``where`` is an identity, and the congestion tail (``theta > cap``)
-        cannot overflow ``exp`` (exponents are non-positive; underflow is
-        ignored by default), so no ``errstate`` guard is needed here.
+        The congestion tail (``theta > cap``) cannot overflow ``exp``
+        (exponents are non-positive; underflow is ignored by default), so
+        no ``errstate`` guard is needed here.
         """
         if cap <= 0.0:
             return 0.0
@@ -60,26 +57,6 @@ class ReferenceBackend:
         np.multiply(profile._alphas[count:], buffer, out=buffer)
         np.multiply(buffer, cap, out=buffer)
         return float(saturated + np.add.reduce(buffer))
-
-    def carried_grid(self, profile: ExponentialMaxMinProfile,
-                     caps: np.ndarray) -> np.ndarray:
-        theta_hats = profile._theta_hats
-        saturated_counts = np.searchsorted(theta_hats, caps, side="right")
-        saturated = profile._prefix[saturated_counts]
-        positive = caps > 0.0
-        safe_caps = np.where(positive, caps, 1.0)
-        # Only columns that can be congested for at least one cap matter.
-        first_tail = int(saturated_counts.min()) if len(caps) else profile.size
-        theta_tail = theta_hats[first_tail:]
-        with np.errstate(over="ignore", under="ignore"):
-            congestion = theta_tail[np.newaxis, :] / safe_caps[:, np.newaxis] - 1.0
-            contributions = (profile._alphas[first_tail:]
-                             * np.exp(-profile._betas[first_tail:] * congestion)
-                             * safe_caps[:, np.newaxis])
-        tail_mask = (np.arange(first_tail, profile.size)[np.newaxis, :]
-                     >= saturated_counts[:, np.newaxis])
-        tail = np.where(tail_mask, contributions, 0.0).sum(axis=-1)
-        return np.where(positive, saturated + tail, 0.0)
 
 
 _REFERENCE = ReferenceBackend()

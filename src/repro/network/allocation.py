@@ -150,7 +150,7 @@ class CommonCapAllocation(RateAllocationMechanism):
                       caps: np.ndarray) -> np.ndarray:
         """Throughput profiles at a *vector* of cap levels, shape ``(G, n)``.
 
-        The batched equilibrium engine bisects a whole grid of caps at once;
+        The batched equilibrium engine materialises a whole cap grid at once;
         the default stacks scalar :meth:`theta_at_cap` calls, and the shipped
         cap-parameterised mechanisms override it with one broadcast.
         """

@@ -11,12 +11,13 @@ Two solution paths are provided:
 
 * an exact path for :class:`~repro.network.allocation.CommonCapAllocation`
   mechanisms (including the paper's max-min fair mechanism): the equilibrium
-  is characterised by a scalar throughput cap, found by bisection on the
-  work-conservation equation of Axiom 2.  The bisection kernel is
-  *vectorised over capacity targets*: it solves a whole vector of ``nu``
-  values at once (:func:`solve_common_caps`), and the scalar solver simply
-  calls it with a one-element grid, so the batched engine of
-  :mod:`repro.simulation.batch` and the scalar path agree bit-for-bit;
+  is characterised by a scalar throughput cap, the root of the
+  work-conservation equation of Axiom 2, found by Illinois regula falsi
+  (Dowell & Jarratt, 1971) on the bracket ``[0, upper]``.  One root-finder,
+  :meth:`CommonCapProfile.solve_cap`, solves every target; a grid of ``nu``
+  values (:func:`solve_common_caps`) is solved point by point, so the
+  batched engine of :mod:`repro.simulation.batch` and the scalar path agree
+  bit-for-bit;
 * a generic damped fixed-point iteration for arbitrary mechanisms.
 """
 
@@ -58,28 +59,22 @@ __all__ = [
     "clear_equilibrium_caches",
 ]
 
-_BISECTION_ITERATIONS = 200
+#: Iteration budget of one cap solve (never reached in practice: the
+#: residual or the width rule stops it first).
+_ROOT_ITERATIONS = 200
 #: Bracket-width stopping rule (relative to the cap upper bound).
 _CAP_WIDTH_TOLERANCE = 1e-14
 #: Carried-load residual stopping rule (relative to the target): the
-#: bisection exits as soon as the work-conservation equation is satisfied to
-#: this tolerance, instead of always burning the full iteration budget.
+#: root-finder exits as soon as the work-conservation equation is satisfied
+#: to this tolerance, instead of always burning the full iteration budget.
 _RESIDUAL_TOLERANCE = 1e-13
 #: Slack below the unconstrained load within which a capacity counts as
-#: uncongested (the bisection would otherwise chase a root at the bracket
+#: uncongested (the root-finder would otherwise chase a root at the bracket
 #: edge that rounding already erased).
 _UNCONGESTED_SLACK = 1e-15
 #: Slack on the congestion predicate ``nu < unconstrained_load`` exposed by
 #: :attr:`RateEquilibrium.is_congested`.
 _CONGESTION_SLACK = 1e-12
-#: Working-set bound (elements) of one vectorised ``carried`` evaluation.
-#: Above it the grid is evaluated in cap-chunks so peak memory stays flat in
-#: the grid size (the million-CP scaling sweep).  The bound is far above any
-#: grid the paper experiments solve (n=1000 populations with <100-point
-#: grids), so their float sequences — and the pinned goldens — are
-#: untouched: chunking changes only the pairwise-summation grouping, and
-#: only for workloads that could not run unchunked anyway.
-_CARRIED_BATCH_ELEMENTS = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -200,17 +195,18 @@ def _zero_capacity_equilibrium(population: Population,
 
 
 # --------------------------------------------------------------------------- #
-# Carried-load profiles and the vectorised multi-target bisection kernel
+# Carried-load profiles and the cap root-finder
 # --------------------------------------------------------------------------- #
 class CommonCapProfile:
-    """Evaluates the work-conservation LHS at a *vector* of throughput caps.
+    """Evaluates the work-conservation LHS and solves it for the cap.
 
     For a cap-parameterised mechanism the equilibrium cap at per-capita
     capacity ``nu`` solves ``carried(cap) = min(nu, unconstrained_load)``
-    where ``carried`` is continuous and non-decreasing (Assumption 1), so a
-    whole grid of ``nu`` targets can be bisected simultaneously with numpy.
-    Subclasses provide :meth:`carried`; :meth:`solve_caps` is the shared
-    kernel used by both the scalar and the batched equilibrium solvers.
+    where ``carried`` is continuous and non-decreasing (Assumption 1), so
+    the root is bracketed by ``[0, upper]`` and a bracketing root-finder
+    cannot miss it.  Subclasses provide :meth:`carried`;
+    :meth:`solve_cap` is the one root-finder behind both the scalar and the
+    batched equilibrium solvers.
     """
 
     #: Number of providers covered by the profile.
@@ -228,8 +224,7 @@ class CommonCapProfile:
         """Carried load at a single cap.
 
         The default delegates to the vector kernel with a one-element grid;
-        subclasses may provide a dispatch-free scalar path, which must be
-        bit-identical to the one-element vector evaluation.
+        subclasses may provide a dispatch-free scalar path.
         """
         return float(self.carried(np.array([cap]))[0])
 
@@ -241,29 +236,23 @@ class CommonCapProfile:
             self._carried_at_upper = cached
         return cached
 
-    def _carried_bounded(self, caps: np.ndarray) -> np.ndarray:
-        """``carried`` with the working set bounded for huge populations.
-
-        One tail evaluation touches ``len(caps) * size`` elements; past
-        :data:`_CARRIED_BATCH_ELEMENTS` the caps are processed in chunks so
-        a million-CP profile can bisect arbitrarily large capacity grids in
-        flat memory.
-        """
-        count = len(caps)
-        if self.size and count > 1 and count * self.size > _CARRIED_BATCH_ELEMENTS:
-            chunk = max(1, _CARRIED_BATCH_ELEMENTS // self.size)
-            return np.concatenate([self.carried(caps[start:start + chunk])
-                                   for start in range(0, count, chunk)])
-        return self.carried(caps)
-
     def solve_cap(self, nu: float,
                   residual_tolerance: float = _RESIDUAL_TOLERANCE) -> float:
-        """Equilibrium cap at a single per-capita capacity (scalar path).
+        """Equilibrium cap at one per-capita capacity.
 
-        A dispatch-free mirror of :meth:`solve_caps` for one target: same
-        bracket, same stopping rules, same update order, evaluating
-        :meth:`carried_scalar` instead of a one-element vector — so the
-        returned float is bit-identical to ``solve_caps([nu])[0]``.
+        Returns ``0.0`` for ``nu <= 0``, ``+inf`` for an empty profile or an
+        uncongested capacity, and otherwise the root of
+        ``carried(cap) = target`` by Illinois regula falsi on ``[0, upper]``:
+        each step evaluates the secant point of the bracket (the midpoint
+        when rounding puts the secant point on or outside an end), and when
+        the same end moves twice in a row the stored residual of the other
+        end is halved, which keeps the convergence superlinear on the
+        convex/concave stretches where plain regula falsi stalls.  The
+        endpoint residuals are known without an evaluation:
+        ``carried(0) = 0`` and :meth:`carried_at_upper`.  The solve stops
+        when ``|carried(cap) - target| <= residual_tolerance * max(1,
+        target)`` (returning ``cap``) or when the bracket is narrower than
+        ``_CAP_WIDTH_TOLERANCE * max(1, upper)`` (returning its high end).
         """
         if self.size == 0:
             return math.inf
@@ -275,17 +264,31 @@ class CommonCapProfile:
             return math.inf
         low = 0.0
         high = self.upper
+        f_low = -target
+        f_high = self.carried_at_upper() - target
         residual_tol = residual_tolerance * max(1.0, target)
         width_tol = _CAP_WIDTH_TOLERANCE * max(1.0, self.upper)
-        for _ in range(_BISECTION_ITERATIONS):
-            mid = 0.5 * (low + high)
-            value = self.carried_scalar(mid)
-            if abs(value - target) <= residual_tol:
-                return mid
-            if value < target:
-                low = mid
+        # +1 after the low end moved, -1 after the high end moved.
+        side = 0
+        for _ in range(_ROOT_ITERATIONS):
+            cap = low - f_low * (high - low) / (f_high - f_low)
+            if not low < cap < high:
+                cap = 0.5 * (low + high)
+            value = self.carried_scalar(cap) - target
+            if abs(value) <= residual_tol:
+                return cap
+            if value < 0.0:
+                low = cap
+                f_low = value
+                if side > 0:
+                    f_high *= 0.5
+                side = 1
             else:
-                high = mid
+                high = cap
+                f_high = value
+                if side < 0:
+                    f_low *= 0.5
+                side = -1
             if high - low <= width_tol:
                 return high
         return high
@@ -295,61 +298,13 @@ class CommonCapProfile:
                    ) -> np.ndarray:
         """Equilibrium caps for a vector of per-capita capacities.
 
-        Returns one cap per entry of ``nus``: ``0.0`` for ``nu <= 0``,
-        ``+inf`` for uncongested capacities, and the bisected root of the
-        work-conservation equation otherwise.  All grid points share each
-        bisection iteration (one vectorised ``carried`` evaluation); a point
-        drops out early once its carried-load residual — not merely the
-        bracket width — falls below tolerance.
+        One :meth:`solve_cap` per entry, so ``solve_caps(nus)[i]`` equals
+        ``solve_cap(nus[i])`` exactly and only the ``(G,)`` result is
+        materialised: memory is flat in the grid length.
         """
         nus = np.asarray(nus, dtype=float)
-        if nus.ndim == 1 and nus.shape[0] == 1:
-            # Scalar fast path: one target needs no vector bookkeeping (and
-            # the game layers' best-response loops are all single-target).
-            return np.array([self.solve_cap(float(nus[0]), residual_tolerance)])
-        caps = np.full(nus.shape, np.inf)
-        if self.size == 0:
-            return caps
-        targets = np.minimum(nus, self.unconstrained_load)
-        zero = nus <= 0.0
-        caps[zero] = 0.0
-        carried_at_upper = self.carried_at_upper()
-        uncongested = (~zero) & (
-            (nus >= self.unconstrained_load - _UNCONGESTED_SLACK)
-            | (carried_at_upper <= targets + _UNCONGESTED_SLACK))
-        active = np.nonzero(~zero & ~uncongested)[0]
-        if len(active) == 0:
-            return caps
-        count = len(active)
-        low = np.zeros(count)
-        high = np.full(count, self.upper)
-        target = targets[active]
-        residual_tol = residual_tolerance * np.maximum(1.0, target)
-        width_tol = _CAP_WIDTH_TOLERANCE * max(1.0, self.upper)
-        result = np.empty(count)
-        done = np.zeros(count, dtype=bool)
-        for _ in range(_BISECTION_ITERATIONS):
-            open_indices = np.nonzero(~done)[0]
-            if len(open_indices) == 0:
-                break
-            mid = 0.5 * (low[open_indices] + high[open_indices])
-            value = self._carried_bounded(mid)
-            hit = np.abs(value - target[open_indices]) <= residual_tol[open_indices]
-            hit_indices = open_indices[hit]
-            result[hit_indices] = mid[hit]
-            done[hit_indices] = True
-            rest = open_indices[~hit]
-            mid_rest = mid[~hit]
-            below = value[~hit] < target[rest]
-            low[rest[below]] = mid_rest[below]
-            high[rest[~below]] = mid_rest[~below]
-            narrow = (high[rest] - low[rest]) <= width_tol
-            narrow_indices = rest[narrow]
-            result[narrow_indices] = high[narrow_indices]
-            done[narrow_indices] = True
-        result[~done] = high[~done]
-        caps[active] = result
-        return caps
+        return np.array([self.solve_cap(float(nu), residual_tolerance)
+                         for nu in nus], dtype=float)
 
 
 class GenericCapProfile(CommonCapProfile):
@@ -380,8 +335,8 @@ class ExponentialMaxMinProfile(CommonCapProfile):
     ``theta_hat`` turns the saturated part of the work-conservation sum into
     a prefix-sum lookup (``searchsorted`` + ``cumsum``); only the congested
     tail needs the exponential demand of Equation (3).  One evaluation of
-    ``carried`` at a G-vector of caps is a single vectorised pass instead of
-    G full demand-profile recomputations.
+    the carried load is a binary search plus one vectorised pass over the
+    congested tail instead of a full demand-profile recomputation.
 
     The numerical kernels themselves live on a pluggable
     :class:`~repro.backends.base.KernelBackend` (default: the ``reference``
@@ -432,40 +387,40 @@ class ExponentialMaxMinProfile(CommonCapProfile):
         self.unconstrained_load = float(self._prefix[-1])
         # Scalar-kernel scratch: ``-beta`` is precomputed (multiplying by the
         # negated factor is bit-identical to negating the product) and the
-        # tail buffer is reused across the ~50 bisection evaluations of a
-        # ``solve_cap`` call, avoiding five allocations per evaluation.
+        # tail buffer is reused across the evaluations of a ``solve_cap``
+        # call, avoiding five allocations per evaluation.
         self._neg_betas = -self._betas
         self._scratch = np.empty(self.size)
 
     def carried_at_upper(self) -> float:
         # At the saturation cap every provider is saturated: searchsorted
         # (side="right") counts all of them, the tail sum is empty, and the
-        # vector kernel returns exactly ``prefix[-1]``.
+        # carried-load kernel returns exactly ``prefix[-1]``.
         return self.unconstrained_load
 
     def carried_scalar(self, cap: float) -> float:
-        """Scalar twin of :meth:`carried` (see the backend's contract).
+        """Carried load at one cap, on the profile's kernel backend.
 
-        On the reference backend the result is bit-identical to the
-        one-element vector path; other backends agree to ``<= 1e-10``.
+        Backends agree to ``<= 1e-10`` (see the backend's contract).
         """
         return self._backend.carried_scalar(self, cap)
 
     def carried(self, caps: np.ndarray) -> np.ndarray:
-        caps = np.asarray(caps, dtype=float)
-        return self._backend.carried_grid(self, caps)
+        return np.array([self.carried_scalar(float(cap))
+                         for cap in np.asarray(caps, dtype=float)],
+                        dtype=float)
 
     def solve_cap(self, nu: float,
                   residual_tolerance: float = _RESIDUAL_TOLERANCE) -> float:
-        """Scalar solve, using the backend's fused bisection when it has one.
+        """Cap solve, using the backend's fused root-finder when it has one.
 
-        The guards and the bisection parameters mirror
+        The guards and the root-finder parameters mirror
         :meth:`CommonCapProfile.solve_cap` exactly; backends without a fused
         kernel (the reference backend) fall through to the generic loop over
         :meth:`carried_scalar`.
         """
-        bisect = self._backend.bisect_scalar
-        if bisect is None:
+        solve = self._backend.solve_scalar
+        if solve is None:
             return super().solve_cap(nu, residual_tolerance)
         if self.size == 0:
             return math.inf
@@ -475,9 +430,9 @@ class ExponentialMaxMinProfile(CommonCapProfile):
         if (nu >= self.unconstrained_load - _UNCONGESTED_SLACK
                 or self.carried_at_upper() <= target + _UNCONGESTED_SLACK):
             return math.inf
-        return float(bisect(self, target, _BISECTION_ITERATIONS,
-                            residual_tolerance * max(1.0, target),
-                            _CAP_WIDTH_TOLERANCE * max(1.0, self.upper)))
+        return float(solve(self, target, _ROOT_ITERATIONS,
+                           residual_tolerance * max(1.0, target),
+                           _CAP_WIDTH_TOLERANCE * max(1.0, self.upper)))
 
 
 def common_cap_profile(population: Population,
@@ -517,8 +472,9 @@ def solve_common_caps(population: Population, nus: Sequence[float],
 
     Returns ``(caps, thetas, demands)`` with shapes ``(G,)``, ``(G, n)`` and
     ``(G, n)``; ``caps`` is ``+inf`` at uncongested points and ``0`` where
-    ``nu <= 0``.  This is the exact Theorem-1 solution at every grid point,
-    computed with one shared vectorised bisection.
+    ``nu <= 0``.  This is the exact Theorem-1 solution at every grid point:
+    one :meth:`CommonCapProfile.solve_cap` per point, then one broadcast
+    materialisation of the ``(G, n)`` profiles.
     """
     config = resolve_config(config)
     nus_arr = np.asarray(nus, dtype=float)
@@ -544,9 +500,10 @@ def _common_cap_equilibrium(population: Population, nu: float,
     the work-conservation equation
     ``sum_i alpha_i d_i(theta_i(cap)) theta_i(cap) = min(nu, sum_i alpha_i theta_hat_i)``.
     The left side is continuous and non-decreasing in the cap (demands are
-    non-decreasing in throughput by Assumption 1), so bisection finds the
-    unique solution of Theorem 1.  Delegates to the vectorised kernel with a
-    one-element grid, guaranteeing scalar/batch equivalence.
+    non-decreasing in throughput by Assumption 1), so the bracketing
+    root-finder finds the unique solution of Theorem 1.  Delegates to
+    :func:`solve_common_caps` with a one-element grid, guaranteeing
+    scalar/batch equivalence.
     """
     caps, thetas, demands = solve_common_caps(population, (nu,), mechanism,
                                               config)
@@ -574,7 +531,7 @@ def solve_rate_equilibrium(population: Population, nu: float,
         The rate-allocation mechanism; defaults to the paper's max-min fair
         mechanism.
     config:
-        Solver configuration (kernel backend + bisection tolerance);
+        Solver configuration (kernel backend + root-finder tolerance);
         ``None`` uses the ambient/default config.
 
     Returns
@@ -612,7 +569,7 @@ _EQUILIBRIUM_CACHE = LRUCache(maxsize=2048, name="equilibria")
 _CLASS_CAP_CACHE = LRUCache(maxsize=16384, name="class_caps")
 #: Per-class sorted-prefix profiles (max-min + exponential fast path).  One
 #: profile serves *every* capacity the class is solved at — the capacity
-#: axis of the duopoly/migration best-response loops re-bisects the same
+#: axis of the duopoly/migration best-response loops re-solves the same
 #: class at many ``nu`` values, and the profile is the nu-independent part.
 _PROFILE_CACHE = LRUCache(maxsize=1024, name="maxmin_profiles")
 
@@ -654,7 +611,7 @@ def _indices_key(population: Population,
     """Normalised subset indices: ``None`` stands for the full population."""
     if indices is None:
         return None
-    normalized = tuple(sorted({int(i) for i in indices}))
+    normalized = tuple(np.unique(np.asarray(indices, dtype=np.intp)).tolist())
     if len(normalized) == len(population):
         return None
     return normalized
@@ -786,12 +743,12 @@ def cached_class_cap_for_mask(population: Population,
 
     ``mask`` is a boolean array over the parent population (``None`` — or an
     all-true mask — means the full population).  For the paper's workload
-    (max-min fairness, exponential demand) the cap is bisected on the
+    (max-min fairness, exponential demand) the cap is solved on the
     class's cached sorted-prefix profile, built from column views of the
     parent — no ``Population`` object, index tuple or argsort per call,
     which is what makes the CP-game best-response inner loop cheap.  The
     value equals ``cached_subset_equilibrium(...).common_cap`` exactly
-    (both run the same bisection kernel on the same floats).
+    (both run the same root-finder on the same floats).
     """
     mechanism = mechanism if mechanism is not None else _DEFAULT_MECHANISM
     config = resolve_config(config)

@@ -164,6 +164,8 @@ def _is_default_demand(provider: ContentProvider) -> bool:
 #: Column order of the structure-of-arrays backing store.
 _COLUMN_KEYS = ("alphas", "theta_hats", "betas", "revenue_rates",
                 "utility_rates")
+#: Where a sub-population's names come from: ``(parent, parent indices)``.
+_NameSource = tuple["Population", np.ndarray]
 
 
 def _readonly(array: np.ndarray) -> np.ndarray:
@@ -288,10 +290,12 @@ class Population(Sequence[ContentProvider]):
                     name_prefix: Optional[str],
                     demands: Optional[tuple[Any, ...]],
                     provider_cache: Optional[list[Optional[ContentProvider]]],
+                    name_source: Optional[_NameSource] = None,
                     ) -> "Population":
         self = object.__new__(cls)
         self._init_state(columns, names=names, name_prefix=name_prefix,
-                         demands=demands, provider_cache=provider_cache)
+                         demands=demands, provider_cache=provider_cache,
+                         name_source=name_source)
         return self
 
     def _init_state(self, columns: Mapping[str, np.ndarray], *,
@@ -299,11 +303,16 @@ class Population(Sequence[ContentProvider]):
                     name_prefix: Optional[str],
                     demands: Optional[tuple[Any, ...]],
                     provider_cache: Optional[list[Optional[ContentProvider]]],
+                    name_source: Optional[_NameSource] = None,
                     ) -> None:
         self._columns = {key: _readonly(columns[key]) for key in _COLUMN_KEYS}
         self._size = len(self._columns["alphas"])
         self._names: Optional[tuple[str, ...]] = names
         self._name_prefix: Optional[str] = name_prefix
+        #: ``(parent, indices)`` of a sub-population whose names are not
+        #: materialised yet: provider ``i`` is named ``parent`` provider
+        #: ``indices[i]``.  Dropped once :attr:`names` is built.
+        self._name_source: Optional[_NameSource] = name_source
         #: ``None`` means every provider uses the default exponential demand;
         #: otherwise a per-provider tuple of demand objects.
         self._demands: Optional[tuple[Any, ...]] = demands
@@ -320,6 +329,9 @@ class Population(Sequence[ContentProvider]):
     def _name_at(self, index: int) -> str:
         if self._names is not None:
             return self._names[index]
+        if self._name_source is not None:
+            parent, indices = self._name_source
+            return parent._name_at(int(indices[index]))
         return f"{self._name_prefix}-{index:04d}"
 
     def _provider_at(self, index: int) -> ContentProvider:
@@ -340,17 +352,21 @@ class Population(Sequence[ContentProvider]):
         return provider
 
     def _take(self, indices: np.ndarray) -> "Population":
-        """Sub-population view at the given (unique) index array."""
+        """Sub-population view at the given (unique) index array.
+
+        Names are not formatted here: the child resolves them through this
+        population on first access.
+        """
         indices = np.asarray(indices, dtype=np.intp)
         columns = {key: array[indices]
                    for key, array in self._columns.items()}
-        names = tuple(self._name_at(int(i)) for i in indices)
         demands = (None if self._demands is None
                    else tuple(self._demands[int(i)] for i in indices))
         cache = (None if self._provider_cache is None
                  else [self._provider_cache[int(i)] for i in indices])
-        return Population._from_state(columns, names=names, name_prefix=None,
-                                      demands=demands, provider_cache=cache)
+        return Population._from_state(columns, names=None, name_prefix=None,
+                                      demands=demands, provider_cache=cache,
+                                      name_source=(self, indices))
 
     # -- Sequence protocol -------------------------------------------------
     def __len__(self) -> int:
@@ -386,6 +402,7 @@ class Population(Sequence[ContentProvider]):
         if self._demands != other._demands:
             return False
         if (self._names is None and other._names is None
+                and self._name_source is None and other._name_source is None
                 and self._name_prefix == other._name_prefix):
             return True
         return self.names == other.names
@@ -423,6 +440,7 @@ class Population(Sequence[ContentProvider]):
     def names(self) -> tuple[str, ...]:
         if self._names is None:
             self._names = tuple(self._name_at(i) for i in range(self._size))
+            self._name_source = None
         return self._names
 
     @property
@@ -547,11 +565,14 @@ class Population(Sequence[ContentProvider]):
         A columnar index-view: the child population fancy-indexes the parent
         columns, so no :class:`ContentProvider` objects are created.
         """
-        index_list = sorted(set(int(i) for i in indices))
-        for i in index_list:
-            if i < 0 or i >= self._size:
-                raise ModelValidationError(f"provider index {i} out of range")
-        return self._take(np.array(index_list, dtype=np.intp))
+        index_array = np.unique(np.asarray(
+            indices if isinstance(indices, np.ndarray) else list(indices),
+            dtype=np.intp))
+        outside = index_array[(index_array < 0) | (index_array >= self._size)]
+        if len(outside):
+            raise ModelValidationError(
+                f"provider index {int(outside[0])} out of range")
+        return self._take(index_array)
 
     def index_of(self, name: str) -> int:
         """Index of the provider with the given name."""
@@ -576,7 +597,8 @@ class Population(Sequence[ContentProvider]):
         columns["utility_rates"] = rates
         return Population._from_state(
             columns, names=self._names, name_prefix=self._name_prefix,
-            demands=self._demands, provider_cache=None)
+            demands=self._demands, provider_cache=None,
+            name_source=self._name_source)
 
     def sorted_by_revenue(self, descending: bool = True) -> "Population":
         """Population re-ordered by CP-side revenue rate ``v_i``."""

@@ -1,14 +1,13 @@
-"""Batched equilibrium engine: whole sweep grids in one vectorised pass.
+"""Batched equilibrium engine: whole sweep grids in one call.
 
 The paper's headline figures are parameter sweeps — price × capacity × kappa
 grids over the 1000-CP workload — and each grid point needs the rate
 equilibrium of Theorem 1 at some per-capita capacity.  Solving the points
-one by one costs a full scalar bisection each; this module instead:
+one by one costs a full equilibrium build each; this module instead:
 
-* solves *all* capacities of a grid at once with the vectorised multi-target
-  bisection of :func:`repro.network.equilibrium.solve_common_caps`
-  (:func:`solve_rate_equilibria`, returning a :class:`BatchRateEquilibrium`
-  with array-shaped throughput/demand/surplus accessors);
+* solves *all* capacities of a grid in one call (:func:`solve_rate_equilibria`:
+  one cap root per point via :func:`repro.network.equilibrium.solve_common_caps`,
+  returning a :class:`BatchRateEquilibrium` with array-shaped accessors);
 * memoises (class, capacity) equilibria in shared LRU caches
   (:func:`repro.network.equilibrium.cached_subset_equilibrium` /
   :func:`cached_class_cap`) so the monopoly, duopoly and CP-partition games
@@ -18,7 +17,7 @@ one by one costs a full scalar bisection each; this module instead:
   sweep layer into lookups.
 
 The scalar path (:func:`repro.network.equilibrium.solve_rate_equilibrium`)
-is retained and delegates to the same kernel, so batch and scalar results
+is retained and delegates to the same root-finder, so batch and scalar results
 are bit-for-bit identical — a property the test suite asserts across
 mechanisms and demand families.
 """
@@ -145,7 +144,7 @@ def solve_rate_equilibria(population: Population, nus: Sequence[float],
     The batched counterpart of
     :func:`~repro.network.equilibrium.solve_rate_equilibrium`.  For
     cap-parameterised mechanisms (the paper's max-min fair mechanism
-    included) all grid points share one vectorised multi-target bisection;
+    included) each grid point gets one cap solve and the profiles one pass;
     other mechanisms fall back to per-point scalar solves but still return
     the batched container.  Degenerate grid points (``nu = 0``, uncongested
     capacities, empty populations) are handled exactly like the scalar path.

@@ -7,8 +7,8 @@ the quantities plotted in the paper's Figures 4, 5, 7 and 8.
 
 All four sweeps run on the batched equilibrium engine
 (:mod:`repro.simulation.batch`): the full-population rate equilibria at
-every service-class capacity in the grid are solved in one vectorised
-multi-target bisection up front, and the per-point second-stage games then
+every service-class capacity in the grid are solved in one batch call
+up front, and the per-point second-stage games then
 draw their class equilibria, class caps and partition outcomes from the
 engine's shared memoisation.
 """
@@ -57,7 +57,7 @@ def monopoly_price_sweep(population: Population, nus: Iterable[float],
     """
     price_grid = tuple(float(p) for p in prices)
     nus = tuple(float(nu) for nu in nus)
-    # One vectorised pass solves the full-population equilibrium at every
+    # One batch call solves the full-population equilibrium at every
     # class capacity the grid can produce (all-ordinary / all-premium
     # partitions); the per-point games below then start from cache hits.
     warm_equilibrium_cache(population, _class_capacities(nus, (kappa,)),

@@ -3,7 +3,7 @@
 The numba kernels are plain Python functions that get njit-compiled only
 when numba is importable, so this suite runs them *interpreted* through a
 :class:`NumbaBackend` built from the undecorated functions — the kernel
-arithmetic (serial tail summation, inlined binary search, fused bisection)
+arithmetic (serial tail summation, inlined binary search, fused root-finder)
 is validated even on machines without numba, and since ``njit`` compiles
 exactly this bytecode the compiled path computes the same floating-point
 operations in the same order.
@@ -25,9 +25,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.backends import NumbaBackend, SolverConfig, reference_backend
 from repro.backends import registry as backends_registry
 from repro.backends.numba_backend import (
-    _kernel_bisect_scalar,
-    _kernel_carried_grid,
     _kernel_carried_scalar,
+    _kernel_solve_scalar,
 )
 from repro.network.allocation import (
     MaxMinFairAllocation,
@@ -48,8 +47,7 @@ TOL = 1e-10
 
 def python_numba_backend() -> NumbaBackend:
     """A NumbaBackend running the uncompiled (interpreted) kernels."""
-    return NumbaBackend((_kernel_carried_scalar, _kernel_carried_grid,
-                         _kernel_bisect_scalar))
+    return NumbaBackend((_kernel_carried_scalar, _kernel_solve_scalar))
 
 
 def make_profiles(alphas, theta_hats, betas):
@@ -121,7 +119,7 @@ def test_solve_cap_equivalence_on_workloads(workload):
             assert num_cap == pytest.approx(
                 ref_cap, rel=TOL, abs=TOL * max(1.0, reference.upper))
             # Both caps must satisfy work conservation to the solver's own
-            # residual tolerance (the fused kernel is a real bisection, not
+            # residual tolerance (the fused kernel is a real root-finder, not
             # merely close to the reference's answer).
             target = min(nu, load)
             assert abs(numba_like.carried_scalar(num_cap) - target) <= \
@@ -184,6 +182,20 @@ def test_solve_cap_property(columns, nu_fraction):
     else:
         assert num_cap == pytest.approx(
             ref_cap, rel=1e-9, abs=1e-9 * max(1.0, reference.upper))
+
+
+def test_solve_cap_on_underflowed_flat_carried_load():
+    # Hypothesis found this case: with one CP (alpha = theta_hat = beta = 1)
+    # ``carried`` underflows to exactly 0 for caps below ~1/745, so every
+    # such cap meets the residual rule for this tiny target.  A kernel whose
+    # update order differs from the reference's lands elsewhere on that
+    # flat stretch (a plain bisection stops at 0.03125), outside ``TOL``.
+    reference, numba_like = make_profiles([1.0], [1.0], [1.0])
+    nu = 1.3201682914836635e-146 * reference.unconstrained_load
+    ref_cap = reference.solve_cap(nu)
+    num_cap = numba_like.solve_cap(nu)
+    assert ref_cap == pytest.approx(1.3201682914836635e-146, rel=TOL)
+    assert num_cap == pytest.approx(ref_cap, rel=TOL, abs=TOL)
 
 
 # --------------------------------------------------------------------------- #

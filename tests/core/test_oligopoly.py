@@ -143,9 +143,13 @@ class TestAgainstDuopolySolver:
     def test_asymmetric_capacity_share_pins_too(self, small_random_population):
         duopoly = DuopolyGame(small_random_population, total_nu=3.0,
                               strategic_capacity_share=0.7)
+        # The duopoly derives ISP-J's share as 1.0 - 0.7, which is one ulp
+        # above 0.3: pass that float so both games solve identical
+        # capacities and the exact comparisons below are meaningful.
         oligopoly = OligopolyGame(
             small_random_population, total_nu=3.0,
-            capacity_shares={"ISP-I": 0.7, "ISP-J": 0.3},
+            capacity_shares={"ISP-I": 0.7,
+                             "ISP-J": 1.0 - duopoly.strategic_capacity_share},
             migration_tolerance=duopoly.migration_tolerance,
             migration_iterations=duopoly.migration_iterations)
         strategy = ISPStrategy(1.0, 0.4)

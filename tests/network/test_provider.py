@@ -282,6 +282,45 @@ class TestColumnarPopulation:
         assert view.names == ("a", "c")
         np.testing.assert_array_equal(view.alphas, [0.5, 0.2])
 
+    def test_subset_names_resolve_lazily_through_the_parent(self,
+                                                            monkeypatch):
+        population = Population.from_columns(
+            np.full(50, 0.5), np.linspace(1.0, 5.0, 50))
+        indices = [3, 7, 7, 41, 0]
+        eager = tuple(population.names[i] for i in sorted(set(indices)))
+        formatted = []
+        original = Population._name_at
+
+        def counting_name_at(self, index):
+            formatted.append(index)
+            return original(self, index)
+
+        monkeypatch.setattr(Population, "_name_at", counting_name_at)
+        fresh = Population.from_columns(
+            np.full(50, 0.5), np.linspace(1.0, 5.0, 50))
+        child = fresh.subset(indices)
+        grandchild = child.subset([1, 3])
+        renamed = child.with_utility_rates(np.ones(len(child)))
+        assert formatted == []  # building views formats no name
+        assert child.names == eager
+        assert grandchild.names == (eager[1], eager[3])
+        assert renamed.names == eager
+        assert child[2].name == eager[2]
+
+    def test_subset_validates_indices_with_numpy(self):
+        population = Population.from_columns([0.5, 0.6, 0.7], [1.0, 2.0, 3.0])
+        for bad in ([0, 3], [-1, 1], np.array([5, 1])):
+            with pytest.raises(ModelValidationError, match="out of range"):
+                population.subset(bad)
+        assert population.subset(np.array([2, 0, 2])).names == (
+            "cp-0000", "cp-0002")
+        assert len(population.subset([])) == 0
+
+    def test_subsets_with_equal_columns_but_different_names_differ(self):
+        population = Population.from_columns(
+            [0.5, 0.5], [1.0, 1.0], names=("x", "y"))
+        assert population.subset([0]) != population.subset([1])
+
     def test_sorted_by_revenue_view(self):
         alphas, theta_hats, betas, revenues, utilities = self.columns()
         population = Population.from_columns(

@@ -399,8 +399,8 @@ class TestCpGameCacheEquivalence:
 
 class TestCapacityAxisBatching:
     """Columnar profile kernel: scalar ``solve_cap`` vs batched ``solve_caps``,
-    mask-keyed class caps, chunked carried evaluation, and the capacity
-    sweep's bracket warming — all must agree with the scalar path."""
+    mask-keyed class caps and the capacity sweep's bracket warming — all
+    must agree with the scalar path."""
 
     def setup_method(self):
         clear_all_caches()
@@ -414,7 +414,7 @@ class TestCapacityAxisBatching:
         for nu in (0.0, 1e-9, 0.05 * load, 0.5 * load, load, 2.0 * load):
             vector = float(profile.solve_caps(np.array([nu]))[0])
             scalar = profile.solve_cap(nu)
-            # Same bisection, same carried kernel: exact equality.
+            # Same root-finder, same carried kernel: exact equality.
             assert scalar == vector or (np.isinf(scalar) and np.isinf(vector))
 
     @given(count=st.integers(min_value=1, max_value=40),
@@ -496,23 +496,6 @@ class TestCapacityAxisBatching:
         load = direct.unconstrained_load
         for nu in (0.2 * load, 0.8 * load):
             assert direct.solve_cap(nu) == filtered.solve_cap(nu)
-
-    def test_chunked_carried_matches_unchunked(self, monkeypatch):
-        from repro.network import equilibrium
-
-        population = exponential_population()
-        profile = equilibrium.common_cap_profile(population,
-                                                 MaxMinFairAllocation())
-        caps = np.linspace(0.0, 1.2 * profile.upper, 37)
-        unchunked = profile.carried(caps)
-        # Force the element bound low enough that every call chunks.
-        monkeypatch.setattr(equilibrium, "_CARRIED_BATCH_ELEMENTS",
-                            4 * len(population))
-        chunked = profile._carried_bounded(caps)
-        # Chunk boundaries change the tail zero-padding and therefore the
-        # pairwise-summation grouping, so agreement is at the engine's
-        # batch-vs-scalar tolerance, not bit-exact.
-        np.testing.assert_allclose(chunked, unchunked, rtol=0.0, atol=TOL)
 
     def test_capacity_sweep_warming_matches_per_point_outcomes(self):
         population = random_population(PopulationSpec(count=50), seed=9)
