@@ -60,7 +60,12 @@ def _kernel_carried_scalar(theta_hats: np.ndarray, alphas: np.ndarray,
             high = mid
     total = prefix[low]
     for i in range(low, n):
-        total += alphas[i] * math.exp(-betas[i] * (theta_hats[i] / cap - 1.0)) * cap
+        # beta = 0: demand 1, also where theta_hat / cap overflows to inf.
+        if betas[i] == 0.0:
+            total += alphas[i] * cap
+        else:
+            total += (alphas[i]
+                      * math.exp(-betas[i] * (theta_hats[i] / cap - 1.0)) * cap)
     return total
 
 
@@ -89,8 +94,11 @@ def _kernel_solve_scalar(theta_hats: np.ndarray, alphas: np.ndarray,
                 count_high = count_mid
         value = prefix[count_low]
         for i in range(count_low, n):
-            value += (alphas[i]
-                      * math.exp(-betas[i] * (theta_hats[i] / cap - 1.0)) * cap)
+            if betas[i] == 0.0:
+                value += alphas[i] * cap
+            else:
+                value += (alphas[i] * math.exp(
+                    -betas[i] * (theta_hats[i] / cap - 1.0)) * cap)
         value -= target
         if abs(value) <= residual_tolerance:
             return cap

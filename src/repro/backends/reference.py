@@ -34,8 +34,8 @@ class ReferenceBackend:
         """Carried load at one cap: prefix lookup plus the congested tail.
 
         The congestion tail (``theta > cap``) cannot overflow ``exp``
-        (exponents are non-positive; underflow is ignored by default), so
-        no ``errstate`` guard is needed here.
+        (exponents are non-positive; underflow is ignored by default); only
+        ``theta_hat / cap`` can overflow, at subnormal caps, to ``inf``.
         """
         if cap <= 0.0:
             return 0.0
@@ -50,7 +50,14 @@ class ReferenceBackend:
         # the reduction ``ndarray.sum`` itself dispatches to, so the pairwise
         # summation tree (and every bit of the result) is unchanged.
         buffer = profile._scratch[count:]
-        np.divide(theta_hats[count:], cap, out=buffer)
+        if cap < profile._overflow_cap:
+            with np.errstate(over="ignore"):
+                np.divide(theta_hats[count:], cap, out=buffer)
+            # An overflowed ratio with beta = 0 would make the exponent
+            # -0 * inf = nan; that provider's demand is 1 at every cap.
+            buffer[profile._betas[count:] == 0.0] = 1.0
+        else:
+            np.divide(theta_hats[count:], cap, out=buffer)
         np.subtract(buffer, 1.0, out=buffer)
         np.multiply(profile._neg_betas[count:], buffer, out=buffer)
         np.exp(buffer, out=buffer)

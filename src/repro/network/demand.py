@@ -189,11 +189,16 @@ class ExponentialSensitivityDemand(DemandFunction):
         self.beta = float(beta)
 
     def evaluate(self, theta: float) -> float:
+        if self.beta == 0.0:  # also where theta_hat / theta overflows
+            return 1.0
         congestion = self._theta_hat / theta - 1.0
         return math.exp(-self.beta * congestion)
 
     def _evaluate_array(self, thetas: np.ndarray) -> np.ndarray:
-        return np.exp(-self.beta * (self._theta_hat / thetas - 1.0))
+        if self.beta == 0.0:
+            return np.ones(np.shape(thetas))
+        with np.errstate(over="ignore"):
+            return np.exp(-self.beta * (self._theta_hat / thetas - 1.0))
 
     @classmethod
     def pack_parameters(cls, functions: Sequence["DemandFunction"]) -> object:
@@ -211,10 +216,10 @@ class ExponentialSensitivityDemand(DemandFunction):
             congestion = np.where(
                 positive, theta_hats / np.where(positive, clipped, 1.0) - 1.0, np.inf)
             demands = np.exp(-betas * congestion)
-        # theta <= 0: demand limit is 1 for beta == 0 and 0 otherwise.
-        zero_limit = (betas == 0.0).astype(float)
-        demands = np.where(positive, demands, zero_limit)
-        demands = np.where(clipped >= theta_hats, 1.0, demands)
+        # beta == 0: demand 1 at every theta, also at theta <= 0 and where
+        # theta_hat / theta overflows (exp(-0 * inf) is nan); else 0 there.
+        demands = np.where(positive, demands, 0.0)
+        demands = np.where((clipped >= theta_hats) | (betas == 0.0), 1.0, demands)
         return np.clip(demands, 0.0, 1.0)
 
     def demand_at_zero(self) -> float:

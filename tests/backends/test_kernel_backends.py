@@ -198,6 +198,22 @@ def test_solve_cap_on_underflowed_flat_carried_load():
     assert num_cap == pytest.approx(ref_cap, rel=TOL, abs=TOL)
 
 
+def test_zero_sensitivity_tail_at_a_subnormal_cap():
+    # theta_hat / cap overflows to inf; a beta = 0 provider still carries
+    # alpha * cap (demand 1) instead of exp(-0 * inf) = nan.
+    reference, numba_like = make_profiles([1.0, 0.5, 2.0], [1.0, 3.0, 2.0],
+                                          [0.0, 0.0, 4.0])
+    # Interpreted, the kernel divides numpy scalars, which warn on the
+    # overflow that compiled code takes silently.
+    with np.errstate(over="ignore"):
+        for cap in (5e-324, 1e-320, 1e-310):
+            assert reference.carried_scalar(cap) == pytest.approx(1.5 * cap)
+            assert (numba_like.carried_scalar(cap)
+                    == reference.carried_scalar(cap))
+        for profile in (reference, numba_like):
+            assert math.isfinite(profile.solve_cap(1e-320))
+
+
 # --------------------------------------------------------------------------- #
 # End-to-end: a numba-backed config through the full solver stack
 # --------------------------------------------------------------------------- #

@@ -3,10 +3,11 @@
 ``CommonCapProfile.solve_cap`` is the one root-finder of the cap equation
 ``carried(cap) = min(nu, unconstrained_load)``.  These tests pin what it
 promises: every finite cap it returns meets the residual rule or the width
-rule, a grid solve is exactly a loop of point solves, targets sitting on the
-saturation breakpoints of the sorted-prefix profile converge, and on the
-paper's 1000-CP population the median solve costs at most 8 carried-load
-evaluations.
+rule, a grid solve is exactly a loop of point solves (also for the generic
+profile's vectorised grid solver, chunked or not), targets sitting on the
+saturation breakpoints of the sorted-prefix profile converge, subnormal
+capacities give finite equilibria, and on the paper's 1000-CP population the
+median solve costs at most 8 carried-load evaluations.
 """
 
 from __future__ import annotations
@@ -29,6 +30,8 @@ from repro.network.equilibrium import (
     GenericCapProfile,
     common_cap_profile,
 )
+from repro.network.provider import Population
+from repro.simulation.batch import solve_rate_equilibria
 from repro.workloads.populations import (
     PopulationSpec,
     paper_population,
@@ -115,6 +118,34 @@ def test_grid_solve_is_exactly_a_loop_of_point_solves(mechanism):
     assert caps.shape == nus.shape
     for nu, cap in zip(nus, caps):
         assert cap == profile.solve_cap(float(nu))
+
+
+@pytest.mark.parametrize("mechanism", ["proportional", "weighted"])
+def test_chunked_generic_grid_solve_matches_point_solves(monkeypatch,
+                                                         mechanism):
+    population = random_population(PopulationSpec(count=40), seed=9)
+    profile = common_cap_profile(population, MECHANISMS[mechanism]())
+    nus = np.linspace(0.0, 1.1, 23) * population.unconstrained_per_capita_load
+    whole = profile.solve_caps(nus)
+    # Three points per vectorised pass instead of the whole grid.
+    monkeypatch.setattr(equilibrium, "_GRID_ELEMENTS", 3 * profile.size)
+    assert np.array_equal(profile.solve_caps(nus), whole)
+    for nu, cap in zip(nus, whole):
+        assert cap == profile.solve_cap(float(nu))
+
+
+@pytest.mark.parametrize("mechanism", sorted(MECHANISMS))
+def test_zero_sensitivity_at_a_subnormal_capacity_stays_finite(mechanism):
+    # theta_hat / cap overflows to inf at these caps; with beta = 0 the
+    # demand must still be 1, not exp(-0 * inf) = nan.
+    population = Population.from_columns(alphas=[1.0, 0.5],
+                                          theta_hats=[1.0, 3.0],
+                                          betas=[0.0, 0.0])
+    batch = solve_rate_equilibria(population, [5e-324, 1e-320, 1e-300],
+                                  MECHANISMS[mechanism]())
+    assert np.all(np.isfinite(batch.common_caps))
+    assert np.array_equal(batch.demands, np.ones_like(batch.demands))
+    assert np.all(np.isfinite(batch.thetas * batch.demands))
 
 
 def test_targets_on_saturation_breakpoints_converge():

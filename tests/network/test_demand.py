@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.errors import ModelValidationError
@@ -78,6 +79,10 @@ class TestExponentialSensitivity:
         demand = ExponentialSensitivityDemand(theta_hat=1.0, beta=0.0)
         assert demand(0.01) == pytest.approx(1.0)
         assert demand.demand_at_zero() == 1.0
+        # theta_hat / theta overflows to inf; exp(-0 * inf) would be nan.
+        assert demand(5e-324) == 1.0
+        assert demand.evaluate_array(np.array([5e-324, 1e-310])).tolist() == [
+            1.0, 1.0]
 
     def test_zero_throughput_limit(self):
         demand = ExponentialSensitivityDemand(theta_hat=1.0, beta=2.0)
